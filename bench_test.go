@@ -343,10 +343,17 @@ func BenchmarkEstimatorStudy(b *testing.B) {
 // --- Micro-benchmarks of the hot paths ---
 
 // BenchmarkEngineSharedMapRound measures one real shared-scan round:
-// 16 blocks feeding 4 jobs.
+// 16 blocks feeding 4 jobs. The blocks are generated once and served
+// from memory, so the loop times the engine's map path, not the text
+// generator.
 func BenchmarkEngineSharedMapRound(b *testing.B) {
 	store := dfs.MustStore(4, 1)
-	if _, err := workload.AddTextFile(store, "corpus", 16, 4<<10, 1); err != nil {
+	gen := workload.NewTextGen(1)
+	corpus := make([][]byte, 16)
+	for i := range corpus {
+		corpus[i] = gen.Block(i, 4<<10)
+	}
+	if _, err := store.AddFile("corpus", 4<<10, corpus); err != nil {
 		b.Fatal(err)
 	}
 	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
@@ -356,6 +363,7 @@ func BenchmarkEngineSharedMapRound(b *testing.B) {
 	}
 	blocks := f.Blocks()
 	prefixes := workload.DistinctPrefixes(4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		jobs := make([]*mapreduce.Running, 4)

@@ -582,34 +582,19 @@ type taskCounts struct {
 	combinerApplied bool
 }
 
-// computeMapTask executes one job's mapper over one block without
-// touching shared state.
+// computeMapTask executes one job's map task over one block without
+// touching shared state, adding the engine's input accounting to the
+// shared map-task path.
 func (e *Engine) computeMapTask(block dfs.BlockID, data []byte, job *Running) ([][]KV, taskCounts, error) {
-	var raw []KV
-	err := job.Spec.Mapper.Map(block, data, func(kv KV) {
-		raw = append(raw, kv)
-	})
+	parts, counts, err := runMapTask(block, data, job.Spec.Mapper, job.Spec.Combiner, job.Spec.reduceWidth())
 	if err != nil {
 		return nil, taskCounts{}, err
 	}
-	counts := taskCounts{
-		inputBytes:    int64(len(data)),
-		outputRecords: int64(len(raw)),
-		outputBytes:   kvBytes(raw),
-	}
+	counts.inputBytes = int64(len(data))
 	if rc, ok := job.Spec.Mapper.(InputRecordCounter); ok {
 		counts.inputRecords = rc.CountInputRecords(data)
 	}
-	if job.Spec.Combiner != nil && len(raw) > 0 {
-		combined, err := combine(raw, job.Spec.Combiner)
-		if err != nil {
-			return nil, taskCounts{}, fmt.Errorf("combiner: %w", err)
-		}
-		counts.combineRecords = int64(len(combined))
-		counts.combinerApplied = true
-		raw = combined
-	}
-	return partition(raw, job.Spec.reduceWidth()), counts, nil
+	return parts, counts, nil
 }
 
 // commitMapTask charges the task's counters and merges its output into

@@ -46,7 +46,10 @@ type JobSpec struct {
 	// and the intermediate records are the output.
 	Reducer Reducer
 	// Combiner, if non-nil, is applied to each map task's output before
-	// shuffle (classic wordcount local aggregation).
+	// shuffle (classic wordcount local aggregation). It is called once
+	// per distinct key, in sorted key order, and sees each key's values
+	// sorted; the values slice is reused across calls, so the combiner
+	// must not retain it.
 	Combiner Reducer
 	// NumReduce is the number of reduce partitions (default 1).
 	NumReduce int

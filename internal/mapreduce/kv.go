@@ -20,6 +20,9 @@ type KV struct {
 }
 
 // Emit receives records produced by mappers, combiners and reducers.
+// Emitted keys may be shared strings: a mapper may hand the same key
+// string to many records (wordcount emits one string per distinct word
+// per block). Strings are immutable, so receivers may keep them.
 type Emit func(kv KV)
 
 // sortKVs orders records by key, then value, for deterministic reduce

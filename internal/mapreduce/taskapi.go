@@ -12,7 +12,7 @@ import (
 
 // MapBlockForJob executes one map task: run mapper over the block's
 // data, apply the optional combiner, and split the output into width
-// reduce partitions.
+// reduce partitions. It is the engine's own map-task path.
 func MapBlockForJob(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, width int) ([][]KV, error) {
 	if mapper == nil {
 		return nil, fmt.Errorf("mapreduce: MapBlockForJob needs a mapper")
@@ -20,18 +20,50 @@ func MapBlockForJob(block dfs.BlockID, data []byte, mapper Mapper, combiner Redu
 	if width <= 0 {
 		return nil, fmt.Errorf("mapreduce: partition width must be positive, got %d", width)
 	}
-	var raw []KV
-	if err := mapper.Map(block, data, func(kv KV) { raw = append(raw, kv) }); err != nil {
-		return nil, err
+	parts, _, err := runMapTask(block, data, mapper, combiner, width)
+	return parts, err
+}
+
+// runMapTask executes one map task without touching shared state:
+// mapper, then the optional combiner, then the partitioner. Without a
+// combiner each emitted record goes straight to its partition; with
+// one, records fold into per-key groups as they are emitted and the
+// combiner runs once per key, so the raw map output is never
+// materialized. The returned counts cover output only; input
+// accounting is the caller's.
+func runMapTask(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, width int) ([][]KV, taskCounts, error) {
+	var (
+		counts taskCounts
+		groups keyGroups
+	)
+	parts := make([][]KV, width)
+	toPartition := func(kv KV) {
+		p := partitionOf(kv.Key, width)
+		parts[p] = append(parts[p], kv)
 	}
-	if combiner != nil && len(raw) > 0 {
-		combined, err := combine(raw, combiner)
-		if err != nil {
-			return nil, fmt.Errorf("combiner: %w", err)
+	err := mapper.Map(block, data, func(kv KV) {
+		counts.outputRecords++
+		counts.outputBytes += int64(len(kv.Key) + len(kv.Value))
+		if combiner != nil {
+			groups.add(kv)
+		} else {
+			toPartition(kv)
 		}
-		raw = combined
+	})
+	if err != nil {
+		return nil, taskCounts{}, err
 	}
-	return partition(raw, width), nil
+	if combiner != nil && counts.outputRecords > 0 {
+		err := groups.combine(combiner, func(kv KV) {
+			counts.combineRecords++
+			toPartition(kv)
+		})
+		if err != nil {
+			return nil, taskCounts{}, fmt.Errorf("combiner: %w", err)
+		}
+		counts.combinerApplied = true
+	}
+	return parts, counts, nil
 }
 
 // ReducePartition executes one reduce task: sort the partition's

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -40,25 +39,6 @@ func FuzzAggregationMapper(f *testing.F) {
 	f.Add([]byte("||||||||||||\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = AggregationMapper{}.Map(dfs.BlockID{}, data, func(mapreduce.KV) {})
-	})
-}
-
-func FuzzPatternCountMapper(f *testing.F) {
-	f.Add([]byte("the quick brown fox"), "t")
-	f.Add([]byte(""), "")
-	f.Add([]byte("\x00\xff\xfe"), "x")
-	f.Fuzz(func(t *testing.T, data []byte, prefix string) {
-		m := PatternCountMapper{Prefix: prefix}
-		count := 0
-		_ = m.Map(dfs.BlockID{}, data, func(kv mapreduce.KV) {
-			if !strings.HasPrefix(kv.Key, prefix) {
-				t.Fatalf("emitted %q without prefix %q", kv.Key, prefix)
-			}
-			count++
-		})
-		if got := m.CountInputRecords(data); int64(count) > got {
-			t.Fatalf("emitted %d records from %d input words", count, got)
-		}
 	})
 }
 

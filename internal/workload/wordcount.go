@@ -1,9 +1,9 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
@@ -25,39 +25,78 @@ type PatternCountMapper struct {
 var _ mapreduce.Mapper = PatternCountMapper{}
 var _ mapreduce.InputRecordCounter = PatternCountMapper{}
 
-// Map implements mapreduce.Mapper.
+// Map implements mapreduce.Mapper. Its cost scales with the words that
+// match, not with the block: it hops between occurrences of the
+// prefix's first byte, checks the prefix only at word starts, and
+// allocates each distinct matching word once per call — repeated
+// occurrences emit the same shared key string.
 func (m PatternCountMapper) Map(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
-	factor := m.EmitFactor
-	if factor <= 0 {
-		factor = 1
-	}
-	forEachWord(data, func(w string) {
-		if strings.HasPrefix(w, m.Prefix) {
-			for i := 0; i < factor; i++ {
-				emit(mapreduce.KV{Key: w, Value: "1"})
-			}
+	factor := max(m.EmitFactor, 1)
+	keys := make(map[string]string)
+	match := func(w []byte) {
+		k, ok := keys[string(w)]
+		if !ok {
+			k = string(w)
+			keys[k] = k
 		}
-	})
+		for i := 0; i < factor; i++ {
+			emit(mapreduce.KV{Key: k, Value: "1"})
+		}
+	}
+	if m.Prefix == "" {
+		forEachWord(data, match)
+		return nil
+	}
+	first := m.Prefix[0]
+	if wordSpace[first] != 0 {
+		return nil // words never contain whitespace
+	}
+	for i := 0; i < len(data); {
+		j := bytes.IndexByte(data[i:], first)
+		if j < 0 {
+			break
+		}
+		start := i + j
+		i = start + 1
+		if start > 0 && wordSpace[data[start-1]] == 0 {
+			continue // mid-word occurrence
+		}
+		for i < len(data) && wordSpace[data[i]] == 0 {
+			i++
+		}
+		if w := data[start:i]; len(w) >= len(m.Prefix) && string(w[:len(m.Prefix)]) == m.Prefix {
+			match(w)
+		}
+	}
 	return nil
 }
 
 // CountInputRecords implements mapreduce.InputRecordCounter: Hadoop's
-// wordcount counts input words as records.
+// wordcount counts input words as records. It is one branch-free pass
+// counting word starts (a word byte after whitespace or at offset 0).
 func (m PatternCountMapper) CountInputRecords(data []byte) int64 {
 	var n int64
-	forEachWord(data, func(string) { n++ })
+	prev := uint8(1)
+	for _, b := range data {
+		s := wordSpace[b]
+		n += int64(prev &^ s)
+		prev = s
+	}
 	return n
 }
 
-// forEachWord walks whitespace-separated words without allocating a
-// new string slice per block.
-func forEachWord(data []byte, fn func(word string)) {
+// wordSpace marks the bytes that separate words (1) from word bytes
+// (0); every other byte, non-ASCII included, belongs to a word.
+var wordSpace = [256]uint8{' ': 1, '\n': 1, '\t': 1, '\r': 1}
+
+// forEachWord walks whitespace-separated words. The word slices alias
+// data; fn must copy what it keeps.
+func forEachWord(data []byte, fn func(word []byte)) {
 	start := -1
 	for i, b := range data {
-		isSpace := b == ' ' || b == '\n' || b == '\t' || b == '\r'
-		if isSpace {
+		if wordSpace[b] != 0 {
 			if start >= 0 {
-				fn(string(data[start:i]))
+				fn(data[start:i])
 				start = -1
 			}
 		} else if start < 0 {
@@ -65,7 +104,7 @@ func forEachWord(data []byte, fn func(word string)) {
 		}
 	}
 	if start >= 0 {
-		fn(string(data[start:]))
+		fn(data[start:])
 	}
 }
 

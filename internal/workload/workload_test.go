@@ -85,15 +85,15 @@ func TestAddTextFile(t *testing.T) {
 
 func TestForEachWord(t *testing.T) {
 	var words []string
-	forEachWord([]byte("  the quick\nbrown\tfox "), func(w string) { words = append(words, w) })
+	forEachWord([]byte("  the quick\nbrown\tfox "), func(w []byte) { words = append(words, string(w)) })
 	want := []string{"the", "quick", "brown", "fox"}
 	if strings.Join(words, ",") != strings.Join(want, ",") {
 		t.Errorf("words = %v, want %v", words, want)
 	}
-	forEachWord(nil, func(string) { t.Error("empty input should yield no words") })
+	forEachWord(nil, func([]byte) { t.Error("empty input should yield no words") })
 	// No trailing separator: final word still reported.
 	words = nil
-	forEachWord([]byte("abc"), func(w string) { words = append(words, w) })
+	forEachWord([]byte("abc"), func(w []byte) { words = append(words, string(w)) })
 	if len(words) != 1 || words[0] != "abc" {
 		t.Errorf("words = %v", words)
 	}
@@ -127,8 +127,8 @@ func TestPatternCountJobEndToEnd(t *testing.T) {
 	want := int64(0)
 	g := NewTextGen(5)
 	for i := 0; i < 4; i++ {
-		forEachWord(g.Block(i, 2048), func(w string) {
-			if strings.HasPrefix(w, "t") {
+		forEachWord(g.Block(i, 2048), func(w []byte) {
+			if bytes.HasPrefix(w, []byte("t")) {
 				want++
 			}
 		})
@@ -466,7 +466,7 @@ func TestTextGenVocabDistinctWords(t *testing.T) {
 	g := NewTextGenVocab(5, 20000)
 	words := map[string]bool{}
 	for i := 0; i < 16; i++ {
-		forEachWord(g.Block(i, 32<<10), func(w string) { words[w] = true })
+		forEachWord(g.Block(i, 32<<10), func(w []byte) { words[string(w)] = true })
 	}
 	// Zipf over a 20k vocabulary in ~100k tokens: thousands of
 	// distinct words, like natural text — not the ~110 of the demo
