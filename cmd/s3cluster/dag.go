@@ -63,12 +63,10 @@ func materializeStage(master *remote.Master, sched *core.MultiFile, planStore *d
 			return fmt.Errorf("journaling materialization of %s: %w", name, err)
 		}
 	}
-	for _, registered := range sched.Files() {
-		if registered == name {
-			// The plan survived in-process (a consumer re-submission after
-			// the producer re-materialized); nothing left to do.
-			return nil
-		}
+	if _, ok := sched.Queue(name); ok {
+		// The plan survived in-process (a consumer re-submission after
+		// the producer re-materialized); nothing left to do.
+		return nil
 	}
 	plan, err := dfs.PlanSegments(file, segBlocks)
 	if err != nil {

@@ -6,32 +6,24 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
-	"s3sched/internal/vclock"
 )
 
 // MultiFile generalizes S^3 beyond the paper's single-input-file
 // context (§III-A) — one of the §VI extension directions. It keeps an
-// independent S^3 Job Queue Manager per registered file and arbitrates
-// the cluster among files one round at a time:
+// independent S^3 Job Queue Manager per registered file (routing,
+// rotation, recovery and AddPlan come from scheduler.Multi) and
+// arbitrates the cluster among files one round at a time:
 //
 //  1. files whose queues hold the highest-priority waiting job go
 //     first (the §VI "job priorities" policy);
-//  2. ties rotate round-robin, so no file starves.
+//  2. with a cache advisor installed, the file whose cursor segment is
+//     warmest wins a priority tie;
+//  3. remaining ties rotate round-robin, so no file starves.
 //
 // Within a file's queue, full S^3 semantics apply: every active job on
 // that file shares every scheduled segment scan.
 type MultiFile struct {
-	log    *trace.Log
-	queues map[string]*S3
-	// rotation holds registered file names in registration order; the
-	// round-robin pointer walks it.
-	rotation []string
-	next     int // rotation index to consider first on the next pick
-	seen     map[scheduler.JobID]bool
-
-	inFlight     bool
-	inFlightFile string
-
+	*scheduler.Multi[*S3]
 	// cachedBytes, when set, reports how many bytes of a candidate
 	// segment's blocks are already cached (see SetCacheAdvisor).
 	cachedBytes func(blocks []dfs.BlockID) int64
@@ -40,79 +32,48 @@ type MultiFile struct {
 	hinter ScanHinter
 }
 
-var _ scheduler.Scheduler = (*MultiFile)(nil)
+var _ scheduler.Recoverable = (*MultiFile)(nil)
 
 // NewMultiFile builds a multi-file scheduler over the given segment
 // plans (one per file). log may be nil and is shared by all queues.
+// AddPlan's expectJobs is advisory: S^3 admits jobs continuously.
 func NewMultiFile(plans []*dfs.SegmentPlan, log *trace.Log) (*MultiFile, error) {
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("core: MultiFile needs at least one segment plan")
 	}
-	m := &MultiFile{
-		log:    log,
-		queues: make(map[string]*S3, len(plans)),
-		seen:   make(map[scheduler.JobID]bool),
-	}
-	for _, p := range plans {
-		name := p.File().Name
-		if _, dup := m.queues[name]; dup {
-			return nil, fmt.Errorf("core: MultiFile has two plans for file %q", name)
+	m := &MultiFile{}
+	m.Multi = scheduler.NewMulti("s3-multifile", func(p *dfs.SegmentPlan, _ int) (*S3, error) {
+		q := New(p, log)
+		if m.hinter != nil {
+			q.SetScanHinter(m.hinter)
 		}
-		m.queues[name] = New(p, log)
-		m.rotation = append(m.rotation, name)
+		return q, nil
+	}, m.rank)
+	for _, p := range plans {
+		if err := m.AddPlan(p, 0); err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
 }
 
-// Name implements Scheduler.
-func (m *MultiFile) Name() string { return "s3-multifile" }
-
-// AddPlan registers a new file's segment plan mid-run — how a DAG
-// stage's materialized output joins the rotation so its consumers can
-// share circular scans like any other jobs. The new queue inherits the
-// installed scan hinter. expectJobs is the number of jobs expected to
-// read the file; S^3 admits jobs continuously, so it is advisory here
-// (batch-oriented schedulers size a batch with it). It must not be
-// called with a round in flight: the runtime invokes it from job-done
-// hooks, which the round protocol runs after RoundDone.
-func (m *MultiFile) AddPlan(p *dfs.SegmentPlan, expectJobs int) error {
-	if m.inFlight {
-		return fmt.Errorf("core: MultiFile.AddPlan with a round in flight")
+// rank scores a queue for the next pick: its highest waiting priority,
+// then (with a cache advisor installed) the cached bytes of its cursor
+// segment — the exact blocks its NextRound would schedule.
+func (m *MultiFile) rank(q *S3) [2]int64 {
+	active := q.Active()
+	if len(active) == 0 {
+		return [2]int64{} // idle; never picked, so never worth advising
 	}
-	name := p.File().Name
-	if _, dup := m.queues[name]; dup {
-		return fmt.Errorf("core: MultiFile already has a plan for file %q", name)
+	prio := active[0].Meta.Priority
+	for _, js := range active[1:] {
+		prio = max(prio, js.Meta.Priority)
 	}
-	q := New(p, m.log)
-	if m.hinter != nil {
-		q.SetScanHinter(m.hinter)
+	var cached int64
+	if m.cachedBytes != nil {
+		cached = m.cachedBytes(q.Plan().Blocks(q.Cursor()))
 	}
-	m.queues[name] = q
-	m.rotation = append(m.rotation, name)
-	return nil
-}
-
-// Files returns the registered file names in registration order.
-func (m *MultiFile) Files() []string {
-	out := make([]string, len(m.rotation))
-	copy(out, m.rotation)
-	return out
-}
-
-// Submit implements Scheduler: the job is routed to its file's queue.
-func (m *MultiFile) Submit(job scheduler.JobMeta, at vclock.Time) error {
-	q, ok := m.queues[job.File]
-	if !ok {
-		return fmt.Errorf("%w: job %d reads %q, no such file registered", scheduler.ErrWrongFile, job.ID, job.File)
-	}
-	if m.seen[job.ID] {
-		return fmt.Errorf("%w: %d", scheduler.ErrDuplicateJob, job.ID)
-	}
-	if err := q.Submit(job, at); err != nil {
-		return err
-	}
-	m.seen[job.ID] = true
-	return nil
+	return [2]int64{int64(prio), cached}
 }
 
 // SetCacheAdvisor makes file arbitration cache-aware: when two files'
@@ -138,91 +99,8 @@ func (m *MultiFile) SetCacheAdvisor(advisor func(blocks []dfs.BlockID) int64) {
 // all registered files at once.
 func (m *MultiFile) SetScanHinter(h ScanHinter) {
 	m.hinter = h
-	for _, q := range m.queues {
+	for _, name := range m.Files() {
+		q, _ := m.Queue(name)
 		q.SetScanHinter(h)
 	}
-}
-
-// maxPriority returns the highest priority among a queue's active
-// jobs.
-func maxPriority(q *S3) int {
-	best := 0
-	first := true
-	for _, js := range q.Active() {
-		if first || js.Meta.Priority > best {
-			best = js.Meta.Priority
-			first = false
-		}
-	}
-	return best
-}
-
-// pick chooses the file to serve next: highest waiting priority, then
-// (with a cache advisor installed) most cached bytes in the candidate
-// segment, remaining ties broken round-robin from m.next.
-func (m *MultiFile) pick() (string, bool) {
-	bestIdx := -1
-	bestPrio := 0
-	var bestCached int64
-	for off := 0; off < len(m.rotation); off++ {
-		i := (m.next + off) % len(m.rotation)
-		q := m.queues[m.rotation[i]]
-		if q.PendingJobs() == 0 {
-			continue
-		}
-		p := maxPriority(q)
-		var cached int64
-		if m.cachedBytes != nil {
-			// The candidate segment is the queue's cursor segment — the
-			// exact blocks its NextRound would schedule.
-			cached = m.cachedBytes(q.Plan().Blocks(q.Cursor()))
-		}
-		if bestIdx == -1 || p > bestPrio || (p == bestPrio && cached > bestCached) {
-			bestIdx = i
-			bestPrio = p
-			bestCached = cached
-		}
-	}
-	if bestIdx == -1 {
-		return "", false
-	}
-	m.next = (bestIdx + 1) % len(m.rotation)
-	return m.rotation[bestIdx], true
-}
-
-// NextRound implements Scheduler.
-func (m *MultiFile) NextRound(now vclock.Time) (scheduler.Round, bool) {
-	if m.inFlight {
-		panic("core: MultiFile.NextRound called with a round in flight")
-	}
-	file, ok := m.pick()
-	if !ok {
-		return scheduler.Round{}, false
-	}
-	r, ok := m.queues[file].NextRound(now)
-	if !ok {
-		// A queue with pending jobs always has a round; this is a bug.
-		panic(fmt.Sprintf("core: MultiFile queue %q pending but idle", file))
-	}
-	m.inFlight = true
-	m.inFlightFile = file
-	return r, true
-}
-
-// RoundDone implements Scheduler.
-func (m *MultiFile) RoundDone(r scheduler.Round, now vclock.Time) []scheduler.JobID {
-	if !m.inFlight {
-		panic("core: MultiFile.RoundDone without a round in flight")
-	}
-	m.inFlight = false
-	return m.queues[m.inFlightFile].RoundDone(r, now)
-}
-
-// PendingJobs implements Scheduler.
-func (m *MultiFile) PendingJobs() int {
-	total := 0
-	for _, q := range m.queues {
-		total += q.PendingJobs()
-	}
-	return total
 }

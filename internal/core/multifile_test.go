@@ -309,3 +309,47 @@ func TestMultiFileScanHinterCarriesFileNames(t *testing.T) {
 		}
 	}
 }
+
+func TestMultiFileAddPlanMidRun(t *testing.T) {
+	plans := multiPlans(t)
+	m, err := NewMultiFile(plans[:1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hinted := map[string]int{}
+	m.SetScanHinter(func(h dfs.ScanHint) { hinted[h.File]++ })
+	if err := m.Submit(fileJob(1, "alpha", 0), 0); err != nil {
+		t.Fatal(err)
+	}
+	r, ok := m.NextRound(0)
+	if !ok {
+		t.Fatal("no round")
+	}
+	if err := m.AddPlan(plans[1], 1); err == nil {
+		t.Fatal("AddPlan accepted with a round in flight")
+	}
+	m.RoundDone(r, 0)
+	if err := m.AddPlan(plans[1], 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddPlan(plans[1], 1); err == nil {
+		t.Fatal("duplicate AddPlan accepted")
+	}
+	if got := m.Files(); len(got) != 2 || got[1] != "beta" {
+		t.Fatalf("Files = %v, want beta appended", got)
+	}
+	if err := m.Submit(fileJob(2, "beta", 0), 0); err != nil {
+		t.Fatal(err)
+	}
+	for m.PendingJobs() > 0 {
+		r, ok := m.NextRound(0)
+		if !ok {
+			t.Fatal("idle with pending jobs")
+		}
+		m.RoundDone(r, 0)
+	}
+	// The queue registered mid-run inherits the installed scan hinter.
+	if hinted["beta"] == 0 {
+		t.Fatalf("hints per file = %v, want beta hinted", hinted)
+	}
+}

@@ -14,8 +14,8 @@
 //     dynamically sized segments of §IV-B/§IV-D2.
 //   - Estimator: §IV-D1's completion-time estimation as an online
 //     least-squares fit over observed rounds.
-//   - MultiFile: per-file S^3 queues with priority arbitration (the
-//     §VI scheduling-policy extensions).
+//   - MultiFile: per-file S^3 queues in scheduler.Multi, ranked by
+//     priority then cache warmth (the §VI scheduling-policy extensions).
 //   - StaticS3 and NoCircular: ablation variants that disable dynamic
 //     sub-job adjustment and the circular scan, respectively.
 package core

@@ -142,56 +142,14 @@ func (s *S3) RestoreState(snap scheduler.Snapshot) error {
 }
 
 // StateSnapshot implements scheduler.Snapshottable for the multi-file
-// arbitrator: one queue snapshot per registered file plus the
-// round-robin rotation pointer.
+// arbitrator: one queue snapshot per registered file, in registration
+// order, plus the round-robin rotation pointer.
 func (m *MultiFile) StateSnapshot() (scheduler.Snapshot, error) {
-	if m.inFlight {
-		return scheduler.Snapshot{}, fmt.Errorf("core: cannot snapshot with a round in flight")
-	}
-	snap := scheduler.Snapshot{Scheme: m.Name(), Rotation: m.next}
-	for _, name := range m.rotation {
-		q, err := m.queues[name].Snapshot()
-		if err != nil {
-			return scheduler.Snapshot{}, fmt.Errorf("core: snapshotting queue %q: %w", name, err)
-		}
-		snap.Queues = append(snap.Queues, q)
-	}
-	return snap, nil
+	return m.Snapshot((*S3).Snapshot)
 }
 
 // RestoreState implements scheduler.Snapshottable. Every snapshot
-// queue must match a registered plan; files registered but absent from
-// the snapshot restore empty (they had no active jobs).
+// queue must match a registered plan.
 func (m *MultiFile) RestoreState(snap scheduler.Snapshot) error {
-	if snap.Scheme != m.Name() {
-		return fmt.Errorf("core: snapshot from scheme %q, scheduler is %q", snap.Scheme, m.Name())
-	}
-	if m.inFlight || len(m.seen) > 0 {
-		return fmt.Errorf("core: RestoreState on a used scheduler")
-	}
-	if snap.Rotation < 0 || snap.Rotation >= len(m.rotation) {
-		return fmt.Errorf("core: snapshot rotation %d out of range [0,%d)", snap.Rotation, len(m.rotation))
-	}
-	restored := make(map[string]bool, len(snap.Queues))
-	for _, qs := range snap.Queues {
-		q, ok := m.queues[qs.File]
-		if !ok {
-			return fmt.Errorf("core: snapshot queue for unregistered file %q", qs.File)
-		}
-		if restored[qs.File] {
-			return fmt.Errorf("core: snapshot repeats queue for file %q", qs.File)
-		}
-		restored[qs.File] = true
-		if err := q.restoreQueue(qs); err != nil {
-			return err
-		}
-		for _, js := range qs.Jobs {
-			if m.seen[js.Meta.ID] {
-				return fmt.Errorf("core: snapshot repeats job %d across files", js.Meta.ID)
-			}
-			m.seen[js.Meta.ID] = true
-		}
-	}
-	m.next = snap.Rotation
-	return nil
+	return m.Restore(snap, (*S3).restoreQueue)
 }

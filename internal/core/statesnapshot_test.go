@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"testing"
 
 	"s3sched/internal/dfs"
@@ -170,5 +173,86 @@ func TestMultiFileRestoreRejectsMismatch(t *testing.T) {
 		Queues: []scheduler.QueueSnapshot{{File: "corpus", Segments: 99}},
 	}); err == nil {
 		t.Fatal("segment-count mismatch accepted")
+	}
+	for name, snap := range map[string]scheduler.Snapshot{
+		"rotation out of range": {Scheme: "s3-multifile", Rotation: 2},
+		"repeated queue": {Scheme: "s3-multifile", Queues: []scheduler.QueueSnapshot{
+			{File: "corpus", Segments: 4}, {File: "corpus", Segments: 4},
+		}},
+		"job repeated across files": {Scheme: "s3-multifile", Queues: []scheduler.QueueSnapshot{
+			{File: "corpus", Segments: 4, Jobs: []scheduler.JobSnapshot{{Meta: fileJob(1, "corpus", 0), Remaining: 4}}},
+			{File: "lineitem", Segments: 4, Jobs: []scheduler.JobSnapshot{{Meta: fileJob(1, "lineitem", 0), Remaining: 4}}},
+		}},
+	} {
+		fresh, err := NewMultiFile([]*dfs.SegmentPlan{
+			makeNamedPlan(t, "corpus", 12, 3),
+			makeNamedPlan(t, "lineitem", 12, 3),
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.RestoreState(snap); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	used, err := NewMultiFile([]*dfs.SegmentPlan{makeNamedPlan(t, "corpus", 12, 3)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := used.Submit(fileJob(1, "corpus", 0), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := used.RestoreState(scheduler.Snapshot{Scheme: "s3-multifile"}); err == nil {
+		t.Error("RestoreState on a used scheduler accepted")
+	}
+}
+
+// parentMultiFileSnapshot is a MultiFile snapshot exactly as journals
+// already on disk hold it: corpus and lineitem (4 segments each), jobs
+// 1 and 2 (priority 0 and 1) one segment from done on corpus, job 3
+// untouched on lineitem, and the rotation pointing at lineitem.
+const parentMultiFileSnapshot = `{"scheme":"s3-multifile","rotation":1,"queues":[{"file":"corpus","segments":4,"cursor":3,"jobs":[{"meta":{"ID":1,"Name":"","File":"corpus","Weight":1,"ReduceWeight":1,"Priority":0},"startSegment":0,"remaining":1,"submittedAt":0},{"meta":{"ID":2,"Name":"","File":"corpus","Weight":1,"ReduceWeight":1,"Priority":1},"startSegment":0,"remaining":1,"submittedAt":0}]},{"file":"lineitem","segments":4,"cursor":0,"jobs":[{"meta":{"ID":3,"Name":"","File":"lineitem","Weight":1,"ReduceWeight":1,"Priority":0},"startSegment":0,"remaining":4,"submittedAt":0}]}]}`
+
+// TestMultiFileRestoresPersistedSnapshot: the snapshot encoding is a
+// durable format. A persisted snapshot restores, re-encodes to the same
+// bytes, and resumes with the round order it was taken under: corpus's
+// priority-1 job beats the rotation pointer, then lineitem runs alone.
+func TestMultiFileRestoresPersistedSnapshot(t *testing.T) {
+	var snap scheduler.Snapshot
+	if err := json.Unmarshal([]byte(parentMultiFileSnapshot), &snap); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMultiFile([]*dfs.SegmentPlan{
+		makeNamedPlan(t, "corpus", 12, 3),
+		makeNamedPlan(t, "lineitem", 12, 3),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	again, err := m.StateSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := json.Marshal(again); string(b) != parentMultiFileSnapshot {
+		t.Fatalf("re-encoded snapshot differs:\n got %s\nwant %s", b, parentMultiFileSnapshot)
+	}
+	var got []string
+	for m.PendingJobs() > 0 {
+		r, ok := m.NextRound(0)
+		if !ok {
+			t.Fatal("restored scheduler idle with pending jobs")
+		}
+		done := m.RoundDone(r, 0)
+		got = append(got, fmt.Sprintf("%s:%d:%v", r.Blocks[0].File, r.Segment, done))
+	}
+	want := "[corpus:3:[1 2] lineitem:0:[] lineitem:1:[] lineitem:2:[] lineitem:3:[3]]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("rounds after restore = %v, want %s", got, want)
+	}
+	if err := m.Submit(fileJob(3, "corpus", 0), 0); !errors.Is(err, scheduler.ErrDuplicateJob) {
+		t.Fatalf("resubmitting restored job 3 on another file: err = %v, want ErrDuplicateJob", err)
 	}
 }

@@ -63,31 +63,28 @@ type CompareOptions struct {
 // strongest configuration for a known job set.
 func CompareSchedulers() []string { return []string{"s3", "fifo", "mrs1"} }
 
-// makeScheduler builds a fresh scheduler for the scheme. A single-file
-// workload with no DAG gets the exact legacy single-plan constructors
-// (existing baselines stay byte-identical); multi-file and DAG
-// workloads get the multi-plan constructors, which also accept derived
-// files registered mid-run. jobsPerFile counts the declared readers of
-// each file — mrs1 batches each file's whole job set, its strongest
-// configuration for a known pattern.
-func makeScheduler(name string, plans []*dfs.SegmentPlan, jobsPerFile map[string]int, totalJobs int, multi bool) (scheduler.Scheduler, error) {
-	if !multi {
-		switch name {
-		case "s3":
-			return core.New(plans[0], nil), nil
-		case "fifo":
-			return scheduler.NewFIFO(plans[0], nil), nil
-		case "mrs1":
-			return scheduler.NewMRShare(plans[0], []int{totalJobs}, nil)
-		default:
-			return nil, fmt.Errorf("experiments: unknown compare scheduler %q", name)
-		}
-	}
+// makeScheduler builds a fresh scheduler for the scheme. FIFO serves
+// every plan from its one queue, and mrs1 batches each file's whole
+// declared job set (jobsPerFile), its strongest configuration for a
+// known pattern; both accept derived files registered mid-run. S^3
+// keeps the single-plan constructor for a single-file workload with no
+// DAG — the stage-aware one its pipelined baselines were pinned with —
+// and runs the multi-file arbitrator otherwise.
+func makeScheduler(name string, plans []*dfs.SegmentPlan, jobsPerFile map[string]int, multi bool) (scheduler.Scheduler, error) {
 	switch name {
-	case "s3":
-		return core.NewMultiFile(plans, nil)
 	case "fifo":
-		return scheduler.NewMultiFIFO(plans, nil)
+		f := scheduler.NewFIFO(plans[0], nil)
+		for _, p := range plans[1:] {
+			if err := f.AddPlan(p, 0); err != nil {
+				return nil, err
+			}
+		}
+		return f, nil
+	case "s3":
+		if !multi {
+			return core.New(plans[0], nil), nil
+		}
+		return core.NewMultiFile(plans, nil)
 	case "mrs1":
 		sizes := make(map[string][]int, len(plans))
 		for _, p := range plans {
@@ -101,13 +98,6 @@ func makeScheduler(name string, plans []*dfs.SegmentPlan, jobsPerFile map[string
 	default:
 		return nil, fmt.Errorf("experiments: unknown compare scheduler %q", name)
 	}
-}
-
-// planRegistrar is the mid-run file-registration surface every
-// multi-plan scheduler exposes (scheduler.PlanRegistrar; core.MultiFile
-// matches it structurally).
-type planRegistrar interface {
-	AddPlan(plan *dfs.SegmentPlan, expectJobs int) error
 }
 
 // derivedGeometry resolves the block size and segment granularity of
@@ -261,7 +251,12 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 	}
 	hasDAG := wf.HasDAG()
 	multi := len(wf.Files) > 1 || hasDAG
-	sched, err := makeScheduler(key.Scheduler, plans, jobsPerFile, len(wf.Jobs), multi)
+	// Multi-file and DAG cells run the serial loop: the per-file
+	// combinator does not forward MapDone, and pipelining multi-plan
+	// FIFO alone would move pinned DAG cells. A "pipeline" cell key
+	// there labels the requested mode, not the engaged one.
+	pipe := key.Pipeline && !multi
+	sched, err := makeScheduler(key.Scheduler, plans, jobsPerFile, multi)
 	if err != nil {
 		return benchfmt.Cell{}, err
 	}
@@ -369,7 +364,7 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 		if cerr != nil {
 			return benchfmt.Cell{}, cerr
 		}
-		res, err = runtime.Run(sched, exec, coord, runtime.Options{Pipeline: key.Pipeline})
+		res, err = runtime.Run(sched, exec, coord, runtime.Options{Pipeline: pipe})
 		if err != nil {
 			return benchfmt.Cell{}, err
 		}
@@ -383,7 +378,7 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 			return benchfmt.Cell{}, fmt.Errorf("DAG stages %v cascade-failed", failed)
 		}
 	} else {
-		res, err = driver.RunOpts(sched, exec, arrivals, driver.Options{Pipeline: key.Pipeline})
+		res, err = driver.RunOpts(sched, exec, arrivals, driver.Options{Pipeline: pipe})
 		if err != nil {
 			return benchfmt.Cell{}, err
 		}
@@ -480,7 +475,7 @@ func cellMaterializer(
 		if err != nil {
 			return 0, err
 		}
-		reg, ok := sched.(planRegistrar)
+		reg, ok := sched.(scheduler.PlanRegistrar)
 		if !ok {
 			return 0, fmt.Errorf("scheduler %q cannot register files mid-run", key.Scheduler)
 		}

@@ -242,6 +242,53 @@ func TestCanonicalWorkloadOrdering(t *testing.T) {
 	}
 }
 
+// TestCompareMatchesPinnedBaselines runs every committed bench/*.jsonl
+// workload through the default s3compare matrix and requires the
+// encoded report to equal its pinned baseline byte for byte:
+// bench/baseline.json for canonical, bench/<name>-baseline.json for the
+// rest. The CI s3report gate only fails a regression beyond its bound;
+// this fails on any drift at all.
+func TestCompareMatchesPinnedBaselines(t *testing.T) {
+	bench := filepath.Join("..", "..", "bench")
+	workloads, err := filepath.Glob(filepath.Join(bench, "*.jsonl"))
+	if err != nil || len(workloads) == 0 {
+		t.Fatalf("no committed workloads under %s (err %v)", bench, err)
+	}
+	for _, path := range workloads {
+		name := strings.TrimSuffix(filepath.Base(path), ".jsonl")
+		t.Run(name, func(t *testing.T) {
+			baseline := name + "-baseline.json"
+			if name == "canonical" {
+				baseline = "baseline.json"
+			}
+			want, err := os.ReadFile(filepath.Join(bench, baseline))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			wf, err := workload.ParseFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := RunCompare(wf, CompareOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := rep.Encode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("report differs from bench/%s (%d bytes, want %d)", baseline, got.Len(), len(want))
+			}
+		})
+	}
+}
+
 // TestRunCompareFaultWorkload exercises the fault path end to end on
 // both engines: the sim prices modeled retries, the engine recovers
 // real injected read faults, and outputs still match the fault-free

@@ -215,11 +215,9 @@ func TestWorkerReconnectsAfterMasterRestart(t *testing.T) {
 
 // dynamicRun drives jobs through the runtime engine against a dynamic
 // master.
-func dynamicRun(t *testing.T, master *Master, njobs int, spans *trace.Log, hooks runtime.Hooks) *runtime.Result {
+func dynamicRun(t *testing.T, master *Master, sched scheduler.Scheduler, njobs int, spans *trace.Log, hooks runtime.Hooks) *runtime.Result {
 	t.Helper()
 	master.SetTimeScale(1e6)
-	plan := testPlan(t)
-	sched := core.New(plan, nil)
 	var arrivals []runtime.Arrival
 	for i := 1; i <= njobs; i++ {
 		arrivals = append(arrivals, runtime.Arrival{
@@ -269,7 +267,7 @@ func TestRollingRestartByteIdentical(t *testing.T) {
 			})
 		},
 	}
-	res := dynamicRun(t, master, 2, spans, hooks)
+	res := dynamicRun(t, master, core.New(testPlan(t), nil), 2, spans, hooks)
 	if replacement != nil {
 		defer replacement.Close()
 	}
@@ -302,8 +300,30 @@ func TestRollingRestartByteIdentical(t *testing.T) {
 
 // TestFullOutageRequeuesUntilRejoin: with every worker dead, rounds are
 // reported lost and requeued; when a worker comes back the requeued
-// round completes and results are still byte-identical.
+// round completes and results are still byte-identical. It runs once
+// per scheduler shape the master can drive: single-file S^3 and the
+// multi-file arbitrator the s3cluster master runs.
 func TestFullOutageRequeuesUntilRejoin(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sched func(*dfs.SegmentPlan) (scheduler.Scheduler, error)
+	}{
+		{"s3", func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) { return core.New(p, nil), nil }},
+		{"s3-multifile", func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) {
+			return core.NewMultiFile([]*dfs.SegmentPlan{p}, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched, err := tc.sched(testPlan(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fullOutage(t, sched)
+		})
+	}
+}
+
+func fullOutage(t *testing.T, sched scheduler.Scheduler) {
 	// Short rejoin grace so workerless rounds are actually lost and
 	// requeued (rather than blocking until the restart lands).
 	cfg := testCtlConfig
@@ -348,7 +368,7 @@ func TestFullOutageRequeuesUntilRejoin(t *testing.T) {
 			time.AfterFunc(150*time.Millisecond, startReplacement)
 		},
 	}
-	res := dynamicRun(t, master, 1, nil, hooks)
+	res := dynamicRun(t, master, sched, 1, nil, hooks)
 	<-repDone
 	if repErr != nil {
 		t.Fatalf("replacement worker: %v", repErr)

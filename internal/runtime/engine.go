@@ -106,11 +106,10 @@ func newEngine(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts
 
 // WillPipeline reports whether a run with this scheduler, executor and
 // options would use the stage-pipelined policy: pipelining must be
-// requested AND both sides must be stage-capable. Callers that label
-// results by execution mode (the benchmark harness's matrix cells) use
-// it to record what actually engaged rather than what was asked —
-// MRShare, for example, is never stage-aware, so its "pipelined" cell
-// is really a serial run.
+// requested AND both sides must be stage-capable. A caller can use it
+// to tell what will actually engage from what was asked — MRShare, for
+// example, is never stage-aware, so a "pipelined" MRShare run is
+// really a serial one.
 func WillPipeline(sched scheduler.Scheduler, exec Executor, opts Options) bool {
 	if !opts.Pipeline {
 		return false

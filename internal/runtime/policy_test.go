@@ -2,10 +2,12 @@ package runtime_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"s3sched/internal/core"
+	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -132,5 +134,80 @@ func TestPoliciesShareFailureDrain(t *testing.T) {
 	if len(p.failed) != 1 || p.failed[0] != 2 || s.rounds != p.rounds ||
 		s.failJobs != p.failJobs || s.attempts != p.attempts {
 		t.Errorf("drain outcomes diverge: serial %+v, pipelined %+v", s, p)
+	}
+}
+
+// lossOnceExec loses the first round it is handed, then runs every
+// round like failDrainExec.
+type lossOnceExec struct {
+	failDrainExec
+	lost bool
+}
+
+func (l *lossOnceExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
+	if !l.lost {
+		l.lost = true
+		return 0, &scheduler.RoundLostError{Round: r, Elapsed: 5, Err: errors.New("injected loss")}
+	}
+	return l.failDrainExec.ExecRound(r)
+}
+
+// TestMultiFileRecovers: the multi-file arbitrator — the scheduler the
+// s3cluster master runs — recovers through the runtime like single-file
+// S^3. A lost round is requeued and re-formed, and a job its executor
+// reports failed is aborted while every other job, on either file,
+// completes.
+func TestMultiFileRecovers(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		exec     runtime.Executor
+		requeued int
+		failed   string
+	}{
+		// reported: true leaves the loss as the only fault.
+		{"lost-round", &lossOnceExec{failDrainExec: failDrainExec{reported: true}}, 1, "[]"},
+		{"failed-job", &failDrainExec{}, 0, "[2]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := dfs.MustStore(2, 1)
+			var plans []*dfs.SegmentPlan
+			for _, name := range []string{"input", "other"} {
+				f, err := store.AddMetaFile(name, 2, 64<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := dfs.PlanSegments(f, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans = append(plans, p)
+			}
+			sched, err := core.NewMultiFile(plans, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := parityMeta(2)
+			other.File = "other"
+			res, err := runtime.RunTrace(sched, tc.exec, []runtime.Arrival{
+				{Job: parityMeta(1), At: 0},
+				{Job: other, At: 0},
+				{Job: parityMeta(3), At: 0},
+			}, runtime.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(res.Metrics.Incomplete()); n != 0 {
+				t.Fatalf("%d incomplete jobs, want 0", n)
+			}
+			if got := res.Metrics.FaultStats().RequeuedRounds; got != tc.requeued {
+				t.Errorf("requeued rounds = %d, want %d", got, tc.requeued)
+			}
+			if got := fmt.Sprint(res.Metrics.Failed()); got != tc.failed {
+				t.Errorf("failed = %s, want %s", got, tc.failed)
+			}
+			if sched.PendingJobs() != 0 {
+				t.Errorf("scheduler still holds %d job(s)", sched.PendingJobs())
+			}
+		})
 	}
 }

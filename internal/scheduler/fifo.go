@@ -17,8 +17,10 @@ import (
 // schemes pay identical per-round overheads in the cost model — FIFO
 // is penalized only by its lack of sharing, not by bookkeeping
 // differences.
+// One queue serves any number of files (AddPlan), each job scanning
+// its own.
 type FIFO struct {
-	plan  *dfs.SegmentPlan
+	plans map[string]*dfs.SegmentPlan // by file name
 	log   *trace.Log
 	queue []JobMeta // waiting jobs, head first
 	cur   *fifoRun  // job currently executing, nil when idle
@@ -32,32 +34,46 @@ type FIFO struct {
 }
 
 var (
-	_ Scheduler   = (*FIFO)(nil)
-	_ StageAware  = (*FIFO)(nil)
-	_ Recoverable = (*FIFO)(nil)
+	_ Scheduler     = (*FIFO)(nil)
+	_ StageAware    = (*FIFO)(nil)
+	_ Recoverable   = (*FIFO)(nil)
+	_ PlanRegistrar = (*FIFO)(nil)
 )
 
 type fifoRun struct {
 	job  JobMeta
-	next int // next segment index to scan (linear 0..k-1)
+	plan *dfs.SegmentPlan // the job's file
+	next int              // next segment index to scan (linear 0..k-1)
 }
 
-// NewFIFO returns a FIFO scheduler over the segment plan. log may be
-// nil.
+// NewFIFO returns a FIFO scheduler over the segment plan; AddPlan
+// registers more files. log may be nil.
 func NewFIFO(plan *dfs.SegmentPlan, log *trace.Log) *FIFO {
-	return &FIFO{plan: plan, log: log, seen: make(map[JobID]bool)}
+	plans := map[string]*dfs.SegmentPlan{plan.File().Name: plan}
+	return &FIFO{plans: plans, log: log, seen: make(map[JobID]bool)}
 }
 
 // Name implements Scheduler.
 func (f *FIFO) Name() string { return "fifo" }
+
+// AddPlan implements PlanRegistrar. FIFO has no per-file state, so
+// expectJobs is ignored.
+func (f *FIFO) AddPlan(p *dfs.SegmentPlan, _ int) error {
+	name := p.File().Name
+	if _, dup := f.plans[name]; dup {
+		return fmt.Errorf("scheduler: FIFO already has a plan for file %q", name)
+	}
+	f.plans[name] = p
+	return nil
+}
 
 // Submit implements Scheduler.
 func (f *FIFO) Submit(job JobMeta, at vclock.Time) error {
 	if f.seen[job.ID] {
 		return fmt.Errorf("%w: %d", ErrDuplicateJob, job.ID)
 	}
-	if job.File != f.plan.File().Name {
-		return fmt.Errorf("%w: job %d reads %q, plan is for %q", ErrWrongFile, job.ID, job.File, f.plan.File().Name)
+	if _, ok := f.plans[job.File]; !ok {
+		return fmt.Errorf("%w: job %d reads %q, no such file registered", ErrWrongFile, job.ID, job.File)
 	}
 	f.seen[job.ID] = true
 	f.pending++
@@ -75,19 +91,20 @@ func (f *FIFO) NextRound(now vclock.Time) (Round, bool) {
 		if len(f.queue) == 0 {
 			return Round{}, false
 		}
-		f.cur = &fifoRun{job: f.queue[0]}
+		job := f.queue[0]
+		f.cur = &fifoRun{job: job, plan: f.plans[job.File]}
 		f.queue = f.queue[1:]
 	}
 	seg := f.cur.next
 	r := Round{
 		Segment: seg,
-		Blocks:  f.plan.Blocks(seg),
+		Blocks:  f.cur.plan.Blocks(seg),
 		Jobs:    []JobMeta{f.cur.job},
 	}
 	if seg == 0 {
 		r.FreshJobs = 1 // the job is submitted once, at its first wave
 	}
-	if seg == f.plan.NumSegments()-1 {
+	if seg == f.cur.plan.NumSegments()-1 {
 		r.Completes = []JobID{f.cur.job.ID}
 	}
 	f.inFlight = true
@@ -128,7 +145,7 @@ func (f *FIFO) RoundDone(r Round, now vclock.Time) []JobID {
 // retiring it when that was the last one.
 func (f *FIFO) retireScan(now vclock.Time) []JobID {
 	f.cur.next++
-	if f.cur.next == f.plan.NumSegments() {
+	if f.cur.next == f.cur.plan.NumSegments() {
 		done := f.cur.job.ID
 		f.cur = nil
 		f.pending--

@@ -190,3 +190,122 @@ func TestFIFOWeightNormalization(t *testing.T) {
 		t.Errorf("weights not defaulted: %+v", r.Jobs[0])
 	}
 }
+
+func TestMultiFIFORoutesJobsByFile(t *testing.T) {
+	// a has 2 segments, b has 3.
+	f := NewFIFO(namedPlan(t, "a", 4, 2), trace.MustNew(64))
+	if err := f.AddPlan(namedPlan(t, "b", 6, 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.Name() != "fifo" {
+		t.Fatalf("Name() = %q", f.Name())
+	}
+	if err := f.Submit(jobOn(1, "b"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Submit(jobOn(2, "a"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.PendingJobs() != 2 {
+		t.Fatalf("pending = %d, want 2", f.PendingJobs())
+	}
+	rounds, completed := drain(t, f)
+	// Strict FIFO: job 1 scans b's 3 segments first, then job 2 scans
+	// a's 2 — no interleaving across files.
+	if len(rounds) != 5 {
+		t.Fatalf("rounds = %d, want 5", len(rounds))
+	}
+	wantJobs := []JobID{1, 1, 1, 2, 2}
+	for i, r := range rounds {
+		if len(r.Jobs) != 1 || r.Jobs[0].ID != wantJobs[i] {
+			t.Fatalf("round %d jobs = %v, want [%d]", i, r.JobIDs(), wantJobs[i])
+		}
+	}
+	if rounds[0].FreshJobs != 1 || rounds[3].FreshJobs != 1 {
+		t.Fatalf("fresh-job marks wrong: %+v", rounds)
+	}
+	if len(completed) != 2 || completed[0] != 1 || completed[1] != 2 {
+		t.Fatalf("completed = %v, want [1 2]", completed)
+	}
+	if f.PendingJobs() != 0 {
+		t.Fatalf("pending after drain = %d", f.PendingJobs())
+	}
+}
+
+func TestMultiFIFOAddPlanMidRun(t *testing.T) {
+	f := NewFIFO(namedPlan(t, "a", 2, 2), nil)
+	if err := f.Submit(jobOn(1, "derived"), 0); !errors.Is(err, ErrWrongFile) {
+		t.Fatalf("submit before AddPlan err = %v, want ErrWrongFile", err)
+	}
+	if err := f.AddPlan(namedPlan(t, "derived", 2, 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddPlan(namedPlan(t, "derived", 2, 2), 0); err == nil {
+		t.Fatal("duplicate AddPlan accepted")
+	}
+	if err := f.Submit(jobOn(1, "derived"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Submit(jobOn(1, "derived"), 0); !errors.Is(err, ErrDuplicateJob) {
+		t.Fatalf("duplicate submit err = %v, want ErrDuplicateJob", err)
+	}
+	_, completed := drain(t, f)
+	if len(completed) != 1 || completed[0] != 1 {
+		t.Fatalf("completed = %v", completed)
+	}
+}
+
+func TestMultiFIFORequeueReformsRound(t *testing.T) {
+	f := NewFIFO(namedPlan(t, "a", 2, 2), nil)
+	if err := f.AddPlan(namedPlan(t, "b", 4, 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Submit(jobOn(1, "b"), 0); err != nil {
+		t.Fatal(err)
+	}
+	r1, ok := f.NextRound(0)
+	if !ok {
+		t.Fatal("no round")
+	}
+	f.RequeueRound(r1, 1)
+	r2, ok := f.NextRound(2)
+	if !ok || r2.Segment != r1.Segment {
+		t.Fatalf("requeued round = %+v, want segment %d again", r2, r1.Segment)
+	}
+	f.RoundDone(r2, 3)
+}
+
+func TestMultiFIFOAbortJobs(t *testing.T) {
+	f := NewFIFO(namedPlan(t, "a", 4, 2), nil)
+	if err := f.AddPlan(namedPlan(t, "b", 4, 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, file := range []string{"a", "b", "a"} {
+		if err := f.Submit(jobOn(i+1, file), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, _ := f.NextRound(0) // job 1 running
+	f.RoundDone(r, 1)
+	// Abort the running job (1) and a queued job (3).
+	f.AbortJobs([]JobID{1, 3}, 2)
+	if f.PendingJobs() != 1 {
+		t.Fatalf("pending = %d, want 1 (job 2)", f.PendingJobs())
+	}
+	_, completed := drain(t, f)
+	if len(completed) != 1 || completed[0] != 2 {
+		t.Fatalf("completed = %v, want [2]", completed)
+	}
+}
+
+func TestMultiFIFOProtocolViolationsPanic(t *testing.T) {
+	f := NewFIFO(namedPlan(t, "a", 2, 2), nil)
+	if err := f.Submit(jobOn(1, "a"), 0); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := f.NextRound(0)
+	mustPanic(t, "NextRound in flight", func() { f.NextRound(0) })
+	f.RoundDone(r, 1)
+	mustPanic(t, "RoundDone idle", func() { f.RoundDone(r, 1) })
+	mustPanic(t, "RequeueRound idle", func() { f.RequeueRound(r, 1) })
+}

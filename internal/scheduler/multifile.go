@@ -2,17 +2,12 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/trace"
 	"s3sched/internal/vclock"
 )
-
-// Multi-file wrappers for the baseline schedulers, closing the matrix
-// gap: `s3compare` can run multi-file (and DAG) workloads through
-// {s3, fifo, mrs1}, not just S^3's MultiFile. Both accept files
-// registered mid-run via AddPlan — the hook DAG-stage materialization
-// uses — with the same signature core.MultiFile exposes.
 
 // PlanRegistrar is the dynamic-file registration surface shared by
 // every multi-file scheduler: a derived file's segment plan can join a
@@ -23,264 +18,134 @@ type PlanRegistrar interface {
 	AddPlan(plan *dfs.SegmentPlan, expectJobs int) error
 }
 
-// MultiFIFO is FIFO semantics over several files: one global queue,
-// jobs execute strictly one at a time in submission order, each
-// scanning its own file start to finish. No sharing, no reordering —
-// exactly the Hadoop-default baseline, just with per-job file routing.
-type MultiFIFO struct {
-	log   *trace.Log
-	plans map[string]*dfs.SegmentPlan
-	order []string
-	queue []JobMeta
-	cur   *multiFifoRun
-	seen  map[JobID]bool
+// Queue is a per-file queue of Multi. Recovery is forwarded to it.
+type Queue interface {
+	Scheduler
+	Recoverable
+}
+
+// Multi serves several files (the paper's JQM handles one, §III-A) from
+// one queue per file, one round at a time: the queues are walked from
+// the rotation pointer, stable-ordered by descending rank if a rank is
+// set, and the first whose NextRound yields a round wins. The pointer
+// moves past the winner, so equals are served round-robin.
+type Multi[Q Queue] struct {
+	name     string
+	newQueue func(plan *dfs.SegmentPlan, expectJobs int) (Q, error)
+	rank     func(Q) [2]int64
+
+	queues map[string]Q
+	files  []string // registration order; the rotation walks it
+	next   int      // rotation index to consider first on the next pick
+	seen   map[JobID]bool
 
 	inFlight bool
-	pending  int
+	cur      Q // queue that formed the in-flight round
 }
 
-type multiFifoRun struct {
-	job  JobMeta
-	plan *dfs.SegmentPlan
-	next int
-}
-
-var (
-	_ Scheduler     = (*MultiFIFO)(nil)
-	_ Recoverable   = (*MultiFIFO)(nil)
-	_ PlanRegistrar = (*MultiFIFO)(nil)
-)
-
-// NewMultiFIFO builds a FIFO scheduler over the given segment plans
-// (one per file). log may be nil.
-func NewMultiFIFO(plans []*dfs.SegmentPlan, log *trace.Log) (*MultiFIFO, error) {
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("scheduler: MultiFIFO needs at least one segment plan")
+// NewMulti returns a combinator with no files; AddPlan registers them
+// through newQueue. rank, when non-nil, scores a queue for the next
+// pick; higher scores, compared element by element, go first.
+func NewMulti[Q Queue](name string, newQueue func(plan *dfs.SegmentPlan, expectJobs int) (Q, error), rank func(Q) [2]int64) *Multi[Q] {
+	return &Multi[Q]{
+		name:     name,
+		newQueue: newQueue,
+		rank:     rank,
+		queues:   make(map[string]Q),
+		seen:     make(map[JobID]bool),
 	}
-	f := &MultiFIFO{
-		log:   log,
-		plans: make(map[string]*dfs.SegmentPlan, len(plans)),
-		seen:  make(map[JobID]bool),
-	}
-	for _, p := range plans {
-		if err := f.AddPlan(p, 0); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
 }
 
 // Name implements Scheduler.
-func (f *MultiFIFO) Name() string { return "fifo-multifile" }
+func (m *Multi[Q]) Name() string { return m.name }
 
-// AddPlan implements PlanRegistrar.
-func (f *MultiFIFO) AddPlan(p *dfs.SegmentPlan, _ int) error {
-	name := p.File().Name
-	if _, dup := f.plans[name]; dup {
-		return fmt.Errorf("scheduler: MultiFIFO already has a plan for file %q", name)
+// AddPlan implements PlanRegistrar: the file's new queue joins the end
+// of the rotation — how a DAG stage's materialized output joins a run
+// in progress. It must not be called with a round in flight: the
+// runtime invokes it from job-done hooks, which run after RoundDone.
+func (m *Multi[Q]) AddPlan(p *dfs.SegmentPlan, expectJobs int) error {
+	if m.inFlight {
+		return fmt.Errorf("scheduler: %s AddPlan with a round in flight", m.name)
 	}
-	f.plans[name] = p
-	f.order = append(f.order, name)
-	return nil
-}
-
-// Files returns the registered file names in registration order.
-func (f *MultiFIFO) Files() []string {
-	out := make([]string, len(f.order))
-	copy(out, f.order)
-	return out
-}
-
-// Submit implements Scheduler.
-func (f *MultiFIFO) Submit(job JobMeta, at vclock.Time) error {
-	if f.seen[job.ID] {
-		return fmt.Errorf("%w: %d", ErrDuplicateJob, job.ID)
-	}
-	if _, ok := f.plans[job.File]; !ok {
-		return fmt.Errorf("%w: job %d reads %q, no such file registered", ErrWrongFile, job.ID, job.File)
-	}
-	f.seen[job.ID] = true
-	f.pending++
-	f.queue = append(f.queue, job.normalized())
-	f.log.Addf(at, trace.JobSubmitted, int(job.ID), -1, "fifo-multifile queue depth %d", len(f.queue))
-	return nil
-}
-
-// NextRound implements Scheduler.
-func (f *MultiFIFO) NextRound(now vclock.Time) (Round, bool) {
-	if f.inFlight {
-		panic("scheduler: MultiFIFO.NextRound called with a round in flight")
-	}
-	if f.cur == nil {
-		if len(f.queue) == 0 {
-			return Round{}, false
-		}
-		job := f.queue[0]
-		f.queue = f.queue[1:]
-		f.cur = &multiFifoRun{job: job, plan: f.plans[job.File]}
-	}
-	seg := f.cur.next
-	r := Round{
-		Segment: seg,
-		Blocks:  f.cur.plan.Blocks(seg),
-		Jobs:    []JobMeta{f.cur.job},
-	}
-	if seg == 0 {
-		r.FreshJobs = 1
-	}
-	if seg == f.cur.plan.NumSegments()-1 {
-		r.Completes = []JobID{f.cur.job.ID}
-	}
-	f.inFlight = true
-	f.log.Addf(now, trace.RoundLaunched, int(f.cur.job.ID), seg, "fifo-multifile %s", f.cur.job.File)
-	return r, true
-}
-
-// RoundDone implements Scheduler.
-func (f *MultiFIFO) RoundDone(r Round, now vclock.Time) []JobID {
-	if !f.inFlight {
-		panic("scheduler: MultiFIFO.RoundDone without a round in flight")
-	}
-	f.inFlight = false
-	f.log.Addf(now, trace.RoundFinished, int(f.cur.job.ID), r.Segment, "fifo-multifile")
-	f.cur.next++
-	if f.cur.next == f.cur.plan.NumSegments() {
-		done := f.cur.job.ID
-		f.cur = nil
-		f.pending--
-		f.log.Addf(now, trace.JobCompleted, int(done), -1, "fifo-multifile")
-		return []JobID{done}
-	}
-	return nil
-}
-
-// RequeueRound implements Recoverable: segment progress is unchanged,
-// the next NextRound re-forms the same round.
-func (f *MultiFIFO) RequeueRound(r Round, now vclock.Time) {
-	if !f.inFlight {
-		panic("scheduler: MultiFIFO.RequeueRound without a round in flight")
-	}
-	f.inFlight = false
-	f.log.Addf(now, trace.SubJobRequeued, int(f.cur.job.ID), r.Segment, "fifo-multifile round lost; resubmitting")
-}
-
-// AbortJobs implements Recoverable.
-func (f *MultiFIFO) AbortJobs(ids []JobID, now vclock.Time) {
-	drop := make(map[JobID]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	queue := f.queue[:0]
-	for _, j := range f.queue {
-		if drop[j.ID] {
-			f.pending--
-			f.log.Addf(now, trace.JobAborted, int(j.ID), -1, "fifo-multifile (queued)")
-			continue
-		}
-		queue = append(queue, j)
-	}
-	f.queue = queue
-	if f.cur != nil && drop[f.cur.job.ID] {
-		f.log.Addf(now, trace.JobAborted, int(f.cur.job.ID), f.cur.next, "fifo-multifile (running)")
-		f.cur = nil
-		f.pending--
-	}
-}
-
-// PendingJobs implements Scheduler.
-func (f *MultiFIFO) PendingJobs() int { return f.pending }
-
-// MultiMRShare is MRShare batching per file: each file has its own
-// batch plan and merged-scan queue; files with runnable batches are
-// served round-robin. Jobs are routed to their file's queue on
-// submission; a file registered mid-run (a DAG stage's derived output)
-// batches all of its expected consumers into one merged scan.
-type MultiMRShare struct {
-	log    *trace.Log
-	queues map[string]*MRShare
-	order  []string
-	next   int
-	seen   map[JobID]bool
-
-	inFlight     bool
-	inFlightFile string
-}
-
-var (
-	_ Scheduler     = (*MultiMRShare)(nil)
-	_ Recoverable   = (*MultiMRShare)(nil)
-	_ PlanRegistrar = (*MultiMRShare)(nil)
-	_ Stalled       = (*MultiMRShare)(nil)
-)
-
-// Stalled is the scheduler-side stall probe (mirrors runtime.Stalled
-// without importing it, to keep this package dependency-free).
-type Stalled interface {
-	Stalled() bool
-}
-
-// NewMultiMRShare builds per-file MRShare queues: plans[i]'s file uses
-// batch plan sizes[plans[i].File().Name]. Every file needs a batch
-// plan. log may be nil.
-func NewMultiMRShare(plans []*dfs.SegmentPlan, sizes map[string][]int, log *trace.Log) (*MultiMRShare, error) {
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("scheduler: MultiMRShare needs at least one segment plan")
-	}
-	m := &MultiMRShare{
-		log:    log,
-		queues: make(map[string]*MRShare, len(plans)),
-		seen:   make(map[JobID]bool),
-	}
-	for _, p := range plans {
-		name := p.File().Name
-		batch, ok := sizes[name]
-		if !ok {
-			return nil, fmt.Errorf("scheduler: MultiMRShare has no batch plan for file %q", name)
-		}
-		if err := m.addQueue(p, batch); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-func (m *MultiMRShare) addQueue(p *dfs.SegmentPlan, sizes []int) error {
-	name := p.File().Name
-	if _, dup := m.queues[name]; dup {
-		return fmt.Errorf("scheduler: MultiMRShare already has a plan for file %q", name)
-	}
-	q, err := NewMRShare(p, sizes, m.log)
+	q, err := m.newQueue(p, expectJobs)
 	if err != nil {
 		return err
 	}
-	m.queues[name] = q
-	m.order = append(m.order, name)
+	return m.add(p.File().Name, q)
+}
+
+func (m *Multi[Q]) add(file string, q Q) error {
+	if _, dup := m.queues[file]; dup {
+		return fmt.Errorf("scheduler: %s already has a plan for file %q", m.name, file)
+	}
+	m.queues[file] = q
+	m.files = append(m.files, file)
 	return nil
 }
 
-// Name implements Scheduler.
-func (m *MultiMRShare) Name() string { return "mrshare-multifile" }
-
-// AddPlan implements PlanRegistrar: the new file's expected readers
-// form one merged batch (MRShare assumes the query pattern is known in
-// advance; for a derived file it is — the workload's dependency edges
-// name every consumer).
-func (m *MultiMRShare) AddPlan(p *dfs.SegmentPlan, expectJobs int) error {
-	if expectJobs < 1 {
-		return fmt.Errorf("scheduler: MultiMRShare.AddPlan for %q needs the expected reader count, got %d", p.File().Name, expectJobs)
-	}
-	return m.addQueue(p, []int{expectJobs})
-}
-
 // Files returns the registered file names in registration order.
-func (m *MultiMRShare) Files() []string {
-	out := make([]string, len(m.order))
-	copy(out, m.order)
-	return out
+func (m *Multi[Q]) Files() []string { return slices.Clone(m.files) }
+
+// Queue returns file's queue.
+func (m *Multi[Q]) Queue(file string) (Q, bool) {
+	q, ok := m.queues[file]
+	return q, ok
 }
 
-// Submit implements Scheduler: the job joins its file's batch.
-func (m *MultiMRShare) Submit(job JobMeta, at vclock.Time) error {
+// Snapshot captures each queue with take, in registration order, plus
+// the rotation pointer.
+func (m *Multi[Q]) Snapshot(take func(Q) (QueueSnapshot, error)) (Snapshot, error) {
+	snap := Snapshot{Scheme: m.name, Rotation: m.next}
+	for _, file := range m.files {
+		qs, err := take(m.queues[file])
+		if err != nil {
+			return Snapshot{}, fmt.Errorf("scheduler: snapshotting queue %q: %w", file, err)
+		}
+		snap.Queues = append(snap.Queues, qs)
+	}
+	return snap, nil
+}
+
+// Restore loads each snapshot queue into its file's queue with load and
+// keeps the restored ids registered, so resubmitting one is a
+// duplicate. Registered files absent from the snapshot restore empty
+// (they had no active jobs). Only valid before any submission.
+func (m *Multi[Q]) Restore(snap Snapshot, load func(Q, QueueSnapshot) error) error {
+	if snap.Scheme != m.name {
+		return fmt.Errorf("scheduler: snapshot from scheme %q, scheduler is %q", snap.Scheme, m.name)
+	}
+	if m.inFlight || len(m.seen) > 0 {
+		return fmt.Errorf("scheduler: %s restore on a used scheduler", m.name)
+	}
+	if snap.Rotation < 0 || snap.Rotation >= len(m.files) {
+		return fmt.Errorf("scheduler: snapshot rotation %d out of range [0,%d)", snap.Rotation, len(m.files))
+	}
+	restored := make(map[string]bool, len(snap.Queues))
+	for _, qs := range snap.Queues {
+		q, ok := m.queues[qs.File]
+		if !ok {
+			return fmt.Errorf("scheduler: snapshot queue for unregistered file %q", qs.File)
+		}
+		if restored[qs.File] {
+			return fmt.Errorf("scheduler: snapshot repeats queue for file %q", qs.File)
+		}
+		restored[qs.File] = true
+		if err := load(q, qs); err != nil {
+			return err
+		}
+		for _, js := range qs.Jobs {
+			if m.seen[js.Meta.ID] {
+				return fmt.Errorf("scheduler: snapshot repeats job %d across files", js.Meta.ID)
+			}
+			m.seen[js.Meta.ID] = true
+		}
+	}
+	m.next = snap.Rotation
+	return nil
+}
+
+// Submit implements Scheduler: the job is routed to its file's queue.
+func (m *Multi[Q]) Submit(job JobMeta, at vclock.Time) error {
 	q, ok := m.queues[job.File]
 	if !ok {
 		return fmt.Errorf("%w: job %d reads %q, no such file registered", ErrWrongFile, job.ID, job.File)
@@ -295,55 +160,65 @@ func (m *MultiMRShare) Submit(job JobMeta, at vclock.Time) error {
 	return nil
 }
 
-// NextRound implements Scheduler: files are probed round-robin from
-// the rotation pointer; the first with a runnable batch wins.
-func (m *MultiMRShare) NextRound(now vclock.Time) (Round, bool) {
+// NextRound implements Scheduler.
+func (m *Multi[Q]) NextRound(now vclock.Time) (Round, bool) {
 	if m.inFlight {
-		panic("scheduler: MultiMRShare.NextRound called with a round in flight")
+		panic(fmt.Sprintf("scheduler: %s NextRound called with a round in flight", m.name))
 	}
-	for off := 0; off < len(m.order); off++ {
-		i := (m.next + off) % len(m.order)
-		name := m.order[i]
-		r, ok := m.queues[name].NextRound(now)
-		if !ok {
-			continue
+	n := len(m.files)
+	order := make([]int, n)
+	for off := range order {
+		order[off] = (m.next + off) % n
+	}
+	if m.rank != nil {
+		score := make([][2]int64, n)
+		for _, i := range order {
+			score[i] = m.rank(m.queues[m.files[i]])
 		}
-		m.next = (i + 1) % len(m.order)
-		m.inFlight = true
-		m.inFlightFile = name
-		return r, true
+		slices.SortStableFunc(order, func(a, b int) int {
+			return slices.Compare(score[b][:], score[a][:]) // descending
+		})
+	}
+	for _, i := range order {
+		q := m.queues[m.files[i]]
+		if r, ok := q.NextRound(now); ok {
+			m.next = (i + 1) % n
+			m.inFlight = true
+			m.cur = q
+			return r, true
+		}
 	}
 	return Round{}, false
 }
 
 // RoundDone implements Scheduler.
-func (m *MultiMRShare) RoundDone(r Round, now vclock.Time) []JobID {
+func (m *Multi[Q]) RoundDone(r Round, now vclock.Time) []JobID {
 	if !m.inFlight {
-		panic("scheduler: MultiMRShare.RoundDone without a round in flight")
+		panic(fmt.Sprintf("scheduler: %s RoundDone without a round in flight", m.name))
 	}
 	m.inFlight = false
-	return m.queues[m.inFlightFile].RoundDone(r, now)
+	return m.cur.RoundDone(r, now)
 }
 
 // RequeueRound implements Recoverable.
-func (m *MultiMRShare) RequeueRound(r Round, now vclock.Time) {
+func (m *Multi[Q]) RequeueRound(r Round, now vclock.Time) {
 	if !m.inFlight {
-		panic("scheduler: MultiMRShare.RequeueRound without a round in flight")
+		panic(fmt.Sprintf("scheduler: %s RequeueRound without a round in flight", m.name))
 	}
 	m.inFlight = false
-	m.queues[m.inFlightFile].RequeueRound(r, now)
+	m.cur.RequeueRound(r, now)
 }
 
 // AbortJobs implements Recoverable: every queue strips the failed jobs
-// (ids a queue never saw are ignored by MRShare's strip).
-func (m *MultiMRShare) AbortJobs(ids []JobID, now vclock.Time) {
-	for _, name := range m.order {
-		m.queues[name].AbortJobs(ids, now)
+// (each ignores ids it never saw).
+func (m *Multi[Q]) AbortJobs(ids []JobID, now vclock.Time) {
+	for _, file := range m.files {
+		m.queues[file].AbortJobs(ids, now)
 	}
 }
 
 // PendingJobs implements Scheduler.
-func (m *MultiMRShare) PendingJobs() int {
+func (m *Multi[Q]) PendingJobs() int {
 	total := 0
 	for _, q := range m.queues {
 		total += q.PendingJobs()
@@ -351,18 +226,52 @@ func (m *MultiMRShare) PendingJobs() int {
 	return total
 }
 
-// Stalled reports whether the scheduler is permanently stuck: no file
-// has a runnable batch, yet some file holds jobs that can only run
-// through future submissions.
-func (m *MultiMRShare) Stalled() bool {
+// Stalled reports whether the scheduler is permanently stuck: some
+// queue holds jobs, and every queue that does is stalled (a queue
+// without a Stalled method never is).
+func (m *Multi[Q]) Stalled() bool {
 	stuck := false
 	for _, q := range m.queues {
-		if q.cur != nil || len(q.ready) > 0 {
-			return false // runnable work exists
-		}
-		if q.Stalled() {
+		if q.PendingJobs() > 0 {
+			st, ok := any(q).(interface{ Stalled() bool })
+			if !ok || !st.Stalled() {
+				return false
+			}
 			stuck = true
 		}
 	}
 	return stuck
+}
+
+// NewMultiMRShare builds MRShare batching per file, served round-robin:
+// plans[i]'s file uses batch plan sizes[plans[i].File().Name], which
+// every file needs. A file registered mid-run batches its expectJobs
+// readers into one merged scan (MRShare assumes the query pattern is
+// known in advance; for a derived file it is — the workload's
+// dependency edges name every consumer). log may be nil.
+func NewMultiMRShare(plans []*dfs.SegmentPlan, sizes map[string][]int, log *trace.Log) (*Multi[*MRShare], error) {
+	if len(plans) == 0 {
+		return nil, fmt.Errorf("scheduler: MultiMRShare needs at least one segment plan")
+	}
+	m := NewMulti("mrshare-multifile", func(p *dfs.SegmentPlan, expectJobs int) (*MRShare, error) {
+		if expectJobs < 1 {
+			return nil, fmt.Errorf("scheduler: MultiMRShare.AddPlan for %q needs the expected reader count, got %d", p.File().Name, expectJobs)
+		}
+		return NewMRShare(p, []int{expectJobs}, log)
+	}, nil)
+	for _, p := range plans {
+		name := p.File().Name
+		batch, ok := sizes[name]
+		if !ok {
+			return nil, fmt.Errorf("scheduler: MultiMRShare has no batch plan for file %q", name)
+		}
+		q, err := NewMRShare(p, batch, log)
+		if err == nil {
+			err = m.add(name, q)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
 }

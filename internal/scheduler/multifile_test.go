@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"s3sched/internal/dfs"
@@ -26,142 +27,6 @@ func namedPlan(t *testing.T, name string, numBlocks, perSegment int) *dfs.Segmen
 
 func jobOn(id int, file string) JobMeta {
 	return JobMeta{ID: JobID(id), Name: "j", File: file, Weight: 1, ReduceWeight: 1}
-}
-
-func TestMultiFIFORoutesJobsByFile(t *testing.T) {
-	f, err := NewMultiFIFO([]*dfs.SegmentPlan{
-		namedPlan(t, "a", 4, 2), // 2 segments
-		namedPlan(t, "b", 6, 2), // 3 segments
-	}, trace.MustNew(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Files(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Files() = %v, want [a b]", got)
-	}
-	if f.Name() != "fifo-multifile" {
-		t.Fatalf("Name() = %q", f.Name())
-	}
-	if err := f.Submit(jobOn(1, "b"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Submit(jobOn(2, "a"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if f.PendingJobs() != 2 {
-		t.Fatalf("pending = %d, want 2", f.PendingJobs())
-	}
-	rounds, completed := drain(t, f)
-	// Strict FIFO: job 1 scans b's 3 segments first, then job 2 scans
-	// a's 2 — no interleaving across files.
-	if len(rounds) != 5 {
-		t.Fatalf("rounds = %d, want 5", len(rounds))
-	}
-	wantJobs := []JobID{1, 1, 1, 2, 2}
-	for i, r := range rounds {
-		if len(r.Jobs) != 1 || r.Jobs[0].ID != wantJobs[i] {
-			t.Fatalf("round %d jobs = %v, want [%d]", i, r.JobIDs(), wantJobs[i])
-		}
-	}
-	if rounds[0].FreshJobs != 1 || rounds[3].FreshJobs != 1 {
-		t.Fatalf("fresh-job marks wrong: %+v", rounds)
-	}
-	if len(completed) != 2 || completed[0] != 1 || completed[1] != 2 {
-		t.Fatalf("completed = %v, want [1 2]", completed)
-	}
-	if f.PendingJobs() != 0 {
-		t.Fatalf("pending after drain = %d", f.PendingJobs())
-	}
-}
-
-func TestMultiFIFOAddPlanMidRun(t *testing.T) {
-	f, err := NewMultiFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Submit(jobOn(1, "derived"), 0); !errors.Is(err, ErrWrongFile) {
-		t.Fatalf("submit before AddPlan err = %v, want ErrWrongFile", err)
-	}
-	if err := f.AddPlan(namedPlan(t, "derived", 2, 2), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddPlan(namedPlan(t, "derived", 2, 2), 0); err == nil {
-		t.Fatal("duplicate AddPlan accepted")
-	}
-	if err := f.Submit(jobOn(1, "derived"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Submit(jobOn(1, "derived"), 0); !errors.Is(err, ErrDuplicateJob) {
-		t.Fatalf("duplicate submit err = %v, want ErrDuplicateJob", err)
-	}
-	_, completed := drain(t, f)
-	if len(completed) != 1 || completed[0] != 1 {
-		t.Fatalf("completed = %v", completed)
-	}
-}
-
-func TestMultiFIFOEmptyConstructor(t *testing.T) {
-	if _, err := NewMultiFIFO(nil, nil); err == nil {
-		t.Fatal("NewMultiFIFO accepted zero plans")
-	}
-}
-
-func TestMultiFIFORequeueReformsRound(t *testing.T) {
-	f, err := NewMultiFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Submit(jobOn(1, "a"), 0); err != nil {
-		t.Fatal(err)
-	}
-	r1, ok := f.NextRound(0)
-	if !ok {
-		t.Fatal("no round")
-	}
-	f.RequeueRound(r1, 1)
-	r2, ok := f.NextRound(2)
-	if !ok || r2.Segment != r1.Segment {
-		t.Fatalf("requeued round = %+v, want segment %d again", r2, r1.Segment)
-	}
-	f.RoundDone(r2, 3)
-}
-
-func TestMultiFIFOAbortJobs(t *testing.T) {
-	f, err := NewMultiFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := f.Submit(jobOn(i, "a"), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, _ := f.NextRound(0) // job 1 running
-	f.RoundDone(r, 1)
-	// Abort the running job (1) and a queued job (3).
-	f.AbortJobs([]JobID{1, 3}, 2)
-	if f.PendingJobs() != 1 {
-		t.Fatalf("pending = %d, want 1 (job 2)", f.PendingJobs())
-	}
-	_, completed := drain(t, f)
-	if len(completed) != 1 || completed[0] != 2 {
-		t.Fatalf("completed = %v, want [2]", completed)
-	}
-}
-
-func TestMultiFIFOProtocolViolationsPanic(t *testing.T) {
-	f, err := NewMultiFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Submit(jobOn(1, "a"), 0); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := f.NextRound(0)
-	mustPanic(t, "NextRound in flight", func() { f.NextRound(0) })
-	f.RoundDone(r, 1)
-	mustPanic(t, "RoundDone idle", func() { f.RoundDone(r, 1) })
-	mustPanic(t, "RequeueRound idle", func() { f.RequeueRound(r, 1) })
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -314,4 +179,92 @@ func TestMultiMRShareRequeueAndAbort(t *testing.T) {
 	r3, _ := m.NextRound(8)
 	mustPanic(t, "NextRound in flight", func() { m.NextRound(8) })
 	m.RoundDone(r3, 9)
+}
+
+// TestMultiRankAndSnapshotFraming drives the combinator directly: a rank
+// overrides the rotation (ties fall back to it), Queue looks files up,
+// and Snapshot/Restore frame per-queue state with the rotation pointer,
+// rejecting malformed snapshots.
+func TestMultiRankAndSnapshotFraming(t *testing.T) {
+	mk := func() *Multi[*MRShare] {
+		m := NewMulti("ranked", func(p *dfs.SegmentPlan, n int) (*MRShare, error) {
+			return NewMRShare(p, []int{n}, nil)
+		}, func(q *MRShare) [2]int64 {
+			if q.plan.File().Name == "c" {
+				return [2]int64{0, 1} // warmer than a and b, same priority
+			}
+			return [2]int64{}
+		})
+		for _, name := range []string{"a", "b", "c"} {
+			if err := m.AddPlan(namedPlan(t, name, 2, 2), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	m := mk()
+	for i, file := range []string{"a", "b", "c"} {
+		if err := m.Submit(jobOn(i+1, file), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := m.Queue("b"); !ok {
+		t.Fatal("Queue(b) not found")
+	}
+	if _, ok := m.Queue("nope"); ok {
+		t.Fatal("Queue found an unregistered file")
+	}
+	rounds, _ := drain(t, m)
+	var order []string
+	for _, r := range rounds {
+		order = append(order, r.Blocks[0].File)
+	}
+	if got := fmt.Sprint(order); got != "[c a b]" {
+		t.Fatalf("served %s, want [c a b] (rank first, then rotation)", got)
+	}
+
+	take := func(q *MRShare) (QueueSnapshot, error) {
+		return QueueSnapshot{File: q.plan.File().Name, Cursor: q.PendingJobs()}, nil
+	}
+	snap, err := m.Snapshot(take)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Scheme != "ranked" || snap.Rotation != 2 || len(snap.Queues) != 3 || snap.Queues[2].File != "c" {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+	loaded := 0
+	load := func(*MRShare, QueueSnapshot) error { loaded++; return nil }
+	withJob := snap
+	withJob.Queues = []QueueSnapshot{{File: "a", Jobs: []JobSnapshot{{Meta: jobOn(7, "a")}}}}
+	fresh := mk()
+	if err := fresh.Restore(withJob, load); err != nil {
+		t.Fatal(err)
+	}
+	if loaded != 1 || fresh.next != 2 {
+		t.Fatalf("restore loaded %d queue(s), rotation %d", loaded, fresh.next)
+	}
+	if err := fresh.Submit(jobOn(7, "b"), 0); !errors.Is(err, ErrDuplicateJob) {
+		t.Fatalf("restored id resubmitted: err = %v, want ErrDuplicateJob", err)
+	}
+	for name, bad := range map[string]Snapshot{
+		"scheme":      {Scheme: "other"},
+		"rotation":    {Scheme: "ranked", Rotation: 3},
+		"file":        {Scheme: "ranked", Queues: []QueueSnapshot{{File: "nope"}}},
+		"queue twice": {Scheme: "ranked", Queues: []QueueSnapshot{{File: "a"}, {File: "a"}}},
+		"job twice": {Scheme: "ranked", Queues: []QueueSnapshot{
+			{File: "a", Jobs: []JobSnapshot{{Meta: jobOn(1, "a")}}},
+			{File: "b", Jobs: []JobSnapshot{{Meta: jobOn(1, "b")}}},
+		}},
+	} {
+		if err := mk().Restore(bad, load); err == nil {
+			t.Errorf("%s: malformed snapshot accepted", name)
+		}
+	}
+	if err := m.Restore(snap, load); err == nil {
+		t.Error("Restore on a used combinator accepted")
+	}
+	if _, err := m.Snapshot(func(*MRShare) (QueueSnapshot, error) { return QueueSnapshot{}, errors.New("busy") }); err == nil {
+		t.Error("queue snapshot error swallowed")
+	}
 }

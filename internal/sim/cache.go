@@ -162,7 +162,7 @@ func (e *Executor) CacheStats() metrics.CacheStats {
 
 // CachedBytes reports how many bytes of the given blocks are currently
 // warm (0 with caching off). Wire it into core.MultiFile.SetCacheAdvisor
-// to make the JQM's file arbitration cache-aware.
+// to make the multi-file S^3 rank cache-aware.
 func (e *Executor) CachedBytes(blocks []dfs.BlockID) int64 {
 	if e.cache == nil {
 		return 0
